@@ -10,6 +10,10 @@
 //! - the full seed access path, scalar and 4-agent contended
 //!   (`system_access_seed_path*` vs. `local_l2_access*`) — the
 //!   contended pair is the tentpole ≥3x comparison (measured 4.1–4.7x);
+//! - the contention-pressure trackers, which noiseless configs skip: the
+//!   4-agent interleave on the jittered DGX-1, local and fabric-off
+//!   remote (`local_l2_access_contended4_jittered`,
+//!   `remote_access_contended4_jittered`);
 //! - batched probes: the allocating wrapper, the caller-buffer batch path
 //!   and an equivalent loop of scalar accesses (`warp_batch_probe_16`,
 //!   `warp_batch_into_16`, `warp_loop_scalar_16`);
@@ -223,6 +227,47 @@ fn bench_access_path(c: &mut Criterion) {
             .unwrap()
         })
     });
+
+    // The same four-agent interleave on the jittered DGX-1 (fabric off),
+    // where every access queries and records the home GPU's contention
+    // window, and a remote one the NVLink queueing window too; the
+    // noiseless rung above skips both. Accesses arrive at the 24-cycle
+    // batch issue gap, so the 2000-cycle window holds ~80 entries.
+    let contended_jittered = |issuer: u8| {
+        let mut sys = MultiGpuSystem::new(SystemConfig::dgx1());
+        let pid = sys.create_process(GpuId::new(issuer));
+        if issuer != 0 {
+            sys.enable_peer_access(pid, GpuId::new(0)).unwrap();
+        }
+        let agents = [
+            sys.default_agent(pid),
+            sys.new_agent(),
+            sys.new_agent(),
+            sys.new_agent(),
+        ];
+        let buf = sys.malloc_on(pid, GpuId::new(0), 1 << 20).unwrap();
+        (sys, pid, agents, buf)
+    };
+    for (name, issuer) in [
+        ("local_l2_access_contended4_jittered", 0),
+        ("remote_access_contended4_jittered", 1),
+    ] {
+        let (mut jsys, jpid, jagents, jbuf) = contended_jittered(issuer);
+        let mut jt = 0u64;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                jt += 24;
+                jsys.access(
+                    jpid,
+                    jagents[(jt / 24 % 4) as usize],
+                    jbuf.offset((jt % 8192) * 128 % (1 << 20)),
+                    jt,
+                    None,
+                )
+                .unwrap()
+            })
+        });
+    }
 
     let mut sys = MultiGpuSystem::new(SystemConfig::dgx1());
     let pid = sys.create_process(GpuId::new(0));

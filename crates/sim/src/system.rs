@@ -148,72 +148,120 @@ struct GpuDevice {
     sms: SmArray,
 }
 
-/// Tracks recent accesses per GPU for port-contention pressure.
+/// Tracks recent accesses per GPU for port-contention pressure: the
+/// number of distinct agents, other than the caller, that touched the
+/// GPU within the contention window.
 ///
-/// Same observable semantics as the original implementation (a rear scan
-/// of the window that stops at the first stale entry — exact even when
-/// agent-local clocks make timestamps non-monotonic), but allocation-free
-/// on the hot path: the distinct-agent set is collected into a reusable
-/// scratch buffer instead of a fresh `HashSet` per access.
+/// Pressure is defined by a rear scan of the access log that stops at
+/// the first entry older than the window cutoff — exact even when
+/// agent-local clocks make timestamps non-monotonic. The tracker answers
+/// that scan in O(log W + A) without performing it (W entries in the
+/// log, A distinct agents in it):
+///
+/// - the entry where the scan would stop is the last one below the
+///   cutoff. Every later entry is at or above the cutoff, so it is
+///   smaller than all of them: a *strict suffix minimum* of the log.
+///   Those minima form a monotone stack, ascending in both sequence
+///   number and timestamp, so a binary search finds the stop;
+/// - an agent is counted iff its last entry lies after the stop, so a
+///   small `(agent, last sequence)` table answers the count.
+///
+/// Each record is amortised O(1) plus a lookup in the agent table.
+/// Every buffer reuses its capacity across [`PressureTracker::clear`],
+/// so the steady state performs no allocation.
 #[derive(Debug)]
 struct PressureTracker {
-    recent: VecDeque<(u64, u32)>,
-    /// Scratch for the distinct-agent scan; cleared per query, never
-    /// shrunk, so steady state performs no allocation.
-    scratch: Vec<u32>,
+    /// Timestamps of the logged accesses, oldest first; `log[i]` has
+    /// sequence number `head + i`.
+    log: VecDeque<u64>,
+    /// Sequence number of `log[0]`.
+    head: u64,
+    /// `(timestamp, sequence number)` of the log's strict suffix minima,
+    /// ascending.
+    minima: VecDeque<(u64, u64)>,
+    /// `(agent, sequence number of its last entry)`. Entries whose last
+    /// sequence number has left the log are never counted, and are
+    /// pruned when a new agent joins, so the table holds at most one
+    /// entry per agent in the log plus the newcomer.
+    last: Vec<(u32, u64)>,
 }
 
-/// Hard bound on the window deque (memory stays bounded even if agent
-/// clocks go backwards between agents).
+/// Hard bound on the access log: memory stays bounded even when agent
+/// clocks go backwards between agents, or the window spans more accesses
+/// than this. Front entries beyond it are dropped, oldest first, whatever
+/// their timestamps.
 const PRESSURE_WINDOW_CAP: usize = 4096;
 
 impl PressureTracker {
-    /// `tracking == true` pre-sizes both buffers to their steady-state
-    /// bounds so the engine's warm loop never grows them: the deque can
-    /// briefly hold one entry past the cap (push happens before the
-    /// trim), and the scratch holds at most one entry per distinct
-    /// concurrent agent. Untracked (noiseless) systems never touch the
-    /// tracker, so they skip the ~64 KiB-per-GPU reservation.
+    /// `tracking == true` pre-sizes the log to its bound (it can briefly
+    /// hold one entry past the cap: push happens before the trim), so a
+    /// warm loop never grows it. The minima stack and the agent table
+    /// grow on demand to their steady-state sizes. Untracked (noiseless)
+    /// systems never touch the tracker, so they skip the reservation.
     fn new(tracking: bool) -> Self {
-        if tracking {
-            PressureTracker {
-                recent: VecDeque::with_capacity(PRESSURE_WINDOW_CAP + 2),
-                scratch: Vec::with_capacity(64),
-            }
+        let log = if tracking {
+            VecDeque::with_capacity(PRESSURE_WINDOW_CAP + 2)
         } else {
-            PressureTracker {
-                recent: VecDeque::new(),
-                scratch: Vec::new(),
-            }
+            VecDeque::new()
+        };
+        PressureTracker {
+            log,
+            head: 0,
+            minima: VecDeque::new(),
+            last: Vec::new(),
         }
     }
+
     fn clear(&mut self) {
-        self.recent.clear();
+        self.log.clear();
+        self.head = 0;
+        self.minima.clear();
+        self.last.clear();
     }
 
     fn record(&mut self, now: u64, agent: AgentId, window: u64) {
-        self.recent.push_back((now, agent.0));
-        let cutoff = now.saturating_sub(window);
-        while matches!(self.recent.front(), Some(&(t, _)) if t < cutoff) {
-            self.recent.pop_front();
+        let seq = self.head + self.log.len() as u64;
+        while matches!(self.minima.back(), Some(&(t, _)) if t >= now) {
+            self.minima.pop_back();
         }
-        while self.recent.len() > PRESSURE_WINDOW_CAP {
-            self.recent.pop_front();
+        self.log.push_back(now);
+        self.minima.push_back((now, seq));
+        match self.last.iter_mut().find(|e| e.0 == agent.0) {
+            Some(e) => e.1 = seq,
+            None => {
+                let head = self.head;
+                self.last.retain(|e| e.1 >= head);
+                self.last.push((agent.0, seq));
+            }
+        }
+
+        let cutoff = now.saturating_sub(window);
+        while matches!(self.log.front(), Some(&t) if t < cutoff) {
+            self.log.pop_front();
+            self.head += 1;
+        }
+        while self.log.len() > PRESSURE_WINDOW_CAP {
+            self.log.pop_front();
+            self.head += 1;
+        }
+        let head = self.head;
+        while matches!(self.minima.front(), Some(&(_, s)) if s < head) {
+            self.minima.pop_front();
         }
     }
 
-    fn pressure(&mut self, now: u64, agent: AgentId, window: u64) -> u32 {
+    fn pressure(&self, now: u64, agent: AgentId, window: u64) -> u32 {
         let cutoff = now.saturating_sub(window);
-        self.scratch.clear();
-        for &(t, a) in self.recent.iter().rev() {
-            if t < cutoff {
-                break;
-            }
-            if a != agent.0 && !self.scratch.contains(&a) {
-                self.scratch.push(a);
-            }
-        }
-        self.scratch.len() as u32
+        // The scan's stop is the last minimum below the cutoff; the scan
+        // covers everything after it (the whole log when there is none).
+        let first = match self.minima.partition_point(|&(t, _)| t < cutoff) {
+            0 => self.head,
+            n => self.minima[n - 1].1 + 1,
+        };
+        self.last
+            .iter()
+            .filter(|&&(a, s)| a != agent.0 && s >= first)
+            .count() as u32
     }
 }
 
@@ -248,8 +296,9 @@ pub struct MultiGpuSystem {
     /// noiseless configs (`contention_per_actor`, `contention_spike_prob`
     /// and `nvlink_queue_per_req` all zero): pressure then feeds no
     /// latency term, no congestion draw and no statistic, so the window
-    /// trackers are skipped entirely — the scans were the dominant cost
-    /// of the contended noiseless hot path.
+    /// trackers are skipped entirely. Every jittered config tracks: one
+    /// `pressure` query and one `record` per access, plus a second pair
+    /// on the remote tracker for fabric-off remote accesses.
     track_pressure: bool,
 }
 
@@ -1896,6 +1945,139 @@ mod tests {
         let acc = sys.access(spy, a, buf, 3_000, None).unwrap();
         assert_eq!(acc.oracle.route.kind, LinkKind::NvLink);
         assert_eq!(acc.latency, 640);
+    }
+
+    /// The rear-scan tracker the O(log W + A) [`PressureTracker`]
+    /// replaced, kept as its reference: each query walks the log from
+    /// the back and stops at the first entry below the cutoff.
+    #[derive(Default)]
+    struct ScanPressureTracker {
+        recent: VecDeque<(u64, u32)>,
+    }
+
+    impl ScanPressureTracker {
+        fn clear(&mut self) {
+            self.recent.clear();
+        }
+
+        fn record(&mut self, now: u64, agent: AgentId, window: u64) {
+            self.recent.push_back((now, agent.0));
+            let cutoff = now.saturating_sub(window);
+            while matches!(self.recent.front(), Some(&(t, _)) if t < cutoff) {
+                self.recent.pop_front();
+            }
+            while self.recent.len() > PRESSURE_WINDOW_CAP {
+                self.recent.pop_front();
+            }
+        }
+
+        fn pressure(&self, now: u64, agent: AgentId, window: u64) -> u32 {
+            let cutoff = now.saturating_sub(window);
+            let mut seen = Vec::new();
+            for &(t, a) in self.recent.iter().rev() {
+                if t < cutoff {
+                    break;
+                }
+                if a != agent.0 && !seen.contains(&a) {
+                    seen.push(a);
+                }
+            }
+            seen.len() as u32
+        }
+    }
+
+    /// Diffs every `pressure` answer of [`PressureTracker`] against the
+    /// rear scan over randomized streams: 1–9 agents joining and leaving,
+    /// per-agent clocks advancing in batch issue gaps and compute pauses
+    /// with back-dated issues mixed in (so the log is non-monotone),
+    /// windows from 0 to one that overflows [`PRESSURE_WINDOW_CAP`], and
+    /// `clear` mid-stream. Besides the simulator's own pattern (query at
+    /// the recording agent's issue time, then record), each step also
+    /// queries at a random time for a random agent. A last stream pins
+    /// the cap rule, which random streams rarely decide a count by.
+    #[test]
+    fn pressure_tracker_matches_rear_scan_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9e55_0e5c);
+        let mut queries = 0u64;
+        let mut capped = false;
+        for case in 0..48u64 {
+            let window = [0, 50, 2_000, 100_000][(case % 4) as usize];
+            let agents = rng.gen_range(1..=9usize);
+            let steps = if window == 100_000 { 6_000 } else { 3_000 };
+            let mut fast = PressureTracker::new(case % 8 < 4);
+            let mut reference = ScanPressureTracker::default();
+            let mut clock: Vec<u64> = (0..agents).map(|_| rng.gen_range(0..500u64)).collect();
+            let mut active: Vec<bool> = (0..agents).map(|a| a == 0 || rng.gen_bool(0.7)).collect();
+            for _ in 0..steps {
+                if rng.gen_bool(0.01) {
+                    let a = rng.gen_range(0..agents);
+                    active[a] = !active[a] || active.iter().filter(|&&x| x).count() == 1;
+                }
+                if rng.gen_bool(0.0005) {
+                    fast.clear();
+                    reference.clear();
+                }
+                let a = loop {
+                    let a = rng.gen_range(0..agents);
+                    if active[a] {
+                        break a;
+                    }
+                };
+                let now = match rng.gen_range(0..100u32) {
+                    // Back-dated issue: behind this agent's own clock,
+                    // either past the window (later scans stop there) or
+                    // within it (they run on).
+                    0..=1 => clock[a].saturating_sub(rng.gen_range(0..=3 * window + 100)),
+                    2..=4 => clock[a].saturating_sub(rng.gen_range(0..=window / 2 + 50)),
+                    // Compute pause.
+                    5 => {
+                        clock[a] += rng.gen_range(100..=5_000u64);
+                        clock[a]
+                    }
+                    // Batch issue gap.
+                    _ => {
+                        clock[a] += rng.gen_range(0..=48u64);
+                        clock[a]
+                    }
+                };
+                let agent = AgentId(a as u32);
+                assert_eq!(
+                    fast.pressure(now, agent, window),
+                    reference.pressure(now, agent, window),
+                    "case {case}: pressure({now}, {a}) in window {window}"
+                );
+                let other = AgentId(rng.gen_range(0..=agents as u32));
+                let at = now.saturating_sub(2 * window + 50) + rng.gen_range(0..=4 * window + 100);
+                assert_eq!(
+                    fast.pressure(at, other, window),
+                    reference.pressure(at, other, window),
+                    "case {case}: pressure({at}, {}) in window {window}",
+                    other.0
+                );
+                queries += 2;
+                fast.record(now, agent, window);
+                reference.record(now, agent, window);
+                capped |= reference.recent.len() == PRESSURE_WINDOW_CAP;
+            }
+        }
+        assert!(capped, "the largest window must overflow the cap");
+        assert!(queries > 200_000);
+
+        // The cap drops the oldest entry even inside the window: agent 1's
+        // only entry stops counting exactly when the cap pushes it out.
+        let mut fast = PressureTracker::new(true);
+        let mut reference = ScanPressureTracker::default();
+        for t in 0..=PRESSURE_WINDOW_CAP as u64 + 1 {
+            let agent = AgentId(u32::from(t == 0));
+            assert_eq!(
+                fast.pressure(t, AgentId(0), 100_000),
+                reference.pressure(t, AgentId(0), 100_000),
+                "at cap step {t}"
+            );
+            fast.record(t, agent, 100_000);
+            reference.record(t, agent, 100_000);
+        }
+        assert_eq!(reference.pressure(0, AgentId(0), 100_000), 0);
     }
 
     #[test]

@@ -47,6 +47,14 @@
 //! nothing. This is the claim that makes node *pooling* (reuse, not
 //! reconstruction) worth having.
 //!
+//! A seventh set proves it for the **contention-pressure trackers** on
+//! a jittered DGX-1 (every other scenario is noiseless, which skips
+//! them): local and fabric-off remote issuers share GPU0, so every
+//! access queries and records the home GPU's window and every remote
+//! one the NVLink queueing window too. The access log is reserved at
+//! boot; the suffix-minima stack and the agent table reach their
+//! steady-state sizes during warm-up and are reused from then on.
+//!
 //! The counter is **thread-local**: the engine loop under test runs on
 //! the test's own thread, while the libtest main thread keeps doing its
 //! own bookkeeping (event messages, stdout buffering) concurrently — a
@@ -274,6 +282,50 @@ fn fleet_steady_state_is_allocation_free_after_pool_warmup() {
     }
 }
 
+#[test]
+fn jittered_pressure_loop_is_allocation_free() {
+    for kind in [SchedulerKind::Linear, SchedulerKind::Heap] {
+        let allocs = jittered_steady_state_allocs(kind, 6);
+        assert_eq!(
+            allocs, 0,
+            "jittered steady-state loop allocated {allocs} times \
+             (scheduler {kind:?})"
+        );
+    }
+}
+
+/// Runs `agents` [`AllKindsAgent`]s on a jittered `SystemConfig::dgx1()`
+/// (fabric off, so `track_pressure` is on and remote accesses take the
+/// scalar NVLink queueing term): issuers alternate between GPU0 itself
+/// and its direct peers GPU1–GPU3, all hitting GPU0's memory. The run
+/// must serve remote accesses and see congestion episodes, or the
+/// trackers were not exercised.
+fn jittered_steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
+    let mut sys = MultiGpuSystem::new(SystemConfig::dgx1());
+    assert!(!sys.config().fabric.enabled);
+    let pids: Vec<ProcessId> = (0..4)
+        .map(|g| sys.create_process(GpuId::new(g)))
+        .collect();
+    for &pid in &pids[1..] {
+        sys.enable_peer_access(pid, GpuId::new(0)).unwrap();
+    }
+    let mut plans = Vec::new();
+    for a in 0..agents {
+        let pid = pids[if a % 2 == 0 { 0 } else { 1 + a / 2 % 3 }];
+        let buf = sys.malloc_on(pid, GpuId::new(0), 16 * 4096).unwrap();
+        let lines: Vec<VirtAddr> = (0..16).map(|i| buf.offset(i * 4096)).collect();
+        plans.push((pid, lines, (a as u64) * 37));
+    }
+    let allocs = measure(&mut sys, kind, plans);
+    let gpu0 = sys.stats().gpu(GpuId::new(0));
+    assert!(gpu0.remote_served > 0, "the run must serve remote accesses");
+    assert!(
+        gpu0.congestion_episodes > 0,
+        "the run must see pressure-driven congestion"
+    );
+    allocs
+}
+
 /// Boots an 8-node fleet at moderate load, warms the pool until job
 /// churn and node recycling have both engaged (every scratch sized,
 /// every buffer materialised, the stats accumulator shaped), snapshots
@@ -324,7 +376,7 @@ fn steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
         let lines: Vec<VirtAddr> = (0..16).map(|i| buf.offset(i * 4096)).collect();
         plans.push((pid, lines, (a as u64) * 37));
     }
-    measure(sys, kind, plans)
+    measure(&mut sys, kind, plans)
 }
 
 /// As [`steady_state_allocs`], on a fabric-enabled 4-GPU box whose
@@ -382,7 +434,7 @@ fn fabric_steady_state_allocs_traced(
         let lines: Vec<VirtAddr> = (0..16).map(|i| buf.offset(i * 4096)).collect();
         plans.push((pid, lines, (a as u64) * 37));
     }
-    measure(sys, kind, plans)
+    measure(&mut sys, kind, plans)
 }
 
 /// The fabric scenario of [`fabric_steady_state_allocs`], but driven
@@ -438,11 +490,11 @@ fn monitored_steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
 
 /// Warm-up run, snapshot, measured run; returns the measured count.
 fn measure(
-    mut sys: MultiGpuSystem,
+    sys: &mut MultiGpuSystem,
     kind: SchedulerKind,
     plans: Vec<(ProcessId, Vec<VirtAddr>, u64)>,
 ) -> u64 {
-    let mut eng = Engine::with_scheduler(&mut sys, kind);
+    let mut eng = Engine::with_scheduler(sys, kind);
     for (pid, lines, start) in plans {
         eng.add_agent(
             Box::new(AllKindsAgent {
